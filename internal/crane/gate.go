@@ -5,6 +5,7 @@
 package crane
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,10 +31,12 @@ func (k recvKey) DMTWaitKey() uint64 { return 2<<62 | k.conn }
 // gate is check_add_timebubble (paper Fig. 10), invoked by the DMT
 // scheduler's token holder at every synchronization operation:
 //
-//  1. While the Paxos sequence is empty, spin (the server must not tick
+//  1. While the Paxos sequence is empty, wait (the server must not tick
 //     logical clocks, §4 rule 2), asking the proxy to request a time
 //     bubble once the sequence has been empty for W_timeout.
-//  2. If the head is a time bubble, consume one logical clock from it.
+//  2. If the head is a time bubble, consume one logical clock from it —
+//     or, when the idle thread holds the token alone, every clock but the
+//     last in one step (dmt.Thread.IdleChewLimit and ChewIdle).
 //  3. If the head is a client socket call, signal the thread blocked on
 //     the matching socket operation, if any.
 //
@@ -43,13 +46,15 @@ func (k recvKey) DMTWaitKey() uint64 { return 2<<62 | k.conn }
 type gate struct {
 	r        *Replica
 	bubbling bool
-	// spinSleep bounds how hot the empty-sequence spin runs.
-	spinSleep time.Duration
-	// dead flips when a speculation rollback retires this gate: the old
-	// scheduler's threads spinning in the empty-sequence loop (their
+	// dead is closed when a speculation rollback retires this gate: the
+	// old scheduler's threads waiting on an empty sequence (their
 	// speculative entries were just truncated) must unwind so Kill/Wait
 	// can complete, even though the replica itself is not being killed.
-	dead atomic.Bool
+	dead       chan struct{}
+	retireOnce sync.Once
+	// timers[L] is lane L's reusable empty-wait timer. Only lane L's token
+	// holder waits on it, one at a time.
+	timers []*time.Timer
 	// booted[L] flips when lane L's first application thread is admitted
 	// (nil when single-lane). Until then the lane's sequence is withheld:
 	// idle ticks consume nothing, so entries (bubble clones) pile up and
@@ -64,12 +69,35 @@ type gate struct {
 	booted []atomic.Bool
 }
 
+// bubbleRetry is how often a token holder still starved after its bubble
+// request re-runs the request policy (a lost request re-arms, a backup
+// that became primary starts proposing). About the runtime's timer
+// granularity: a shorter period would not fire sooner.
+const bubbleRetry = time.Millisecond
+
 func newGate(r *Replica, bubbling bool) *gate {
-	g := &gate{r: r, bubbling: bubbling, spinSleep: 25 * time.Microsecond}
+	g := &gate{
+		r:        r,
+		bubbling: bubbling,
+		dead:     make(chan struct{}),
+		timers:   make([]*time.Timer, r.lanes),
+	}
 	if r.lanes > 1 {
 		g.booted = make([]atomic.Bool, r.lanes)
 	}
 	return g
+}
+
+// retire marks the gate dead (speculation rollback); idempotent.
+func (g *gate) retire() { g.retireOnce.Do(func() { close(g.dead) }) }
+
+func (g *gate) retired() bool {
+	select {
+	case <-g.dead:
+		return true
+	default:
+		return false
+	}
 }
 
 // CheckAdmit implements dmt.Gate. Each thread is admitted against its own
@@ -82,28 +110,14 @@ func (g *gate) CheckAdmit(t *dmt.Thread) {
 	if g.booted != nil && !g.booted[lane].Load() {
 		if t.IsIdle() {
 			// Withhold the sequence until the lane boots (see the booted
-			// field): a pre-boot idle tick must not consume, spin, or
+			// field): a pre-boot idle tick must not consume, wait, or
 			// signal — the lane has nothing admissible yet.
 			return
 		}
 		g.booted[lane].Store(true)
 	}
-	if g.bubbling {
-		// Exponential backoff: the spin only delays physical time, never
-		// logical time, so backing off is determinism-neutral — and it
-		// keeps a starved replica (e.g. during a leader election) from
-		// monopolizing low-core machines.
-		sleep := g.spinSleep
-		for sq.Empty() {
-			if g.r.killed() || g.dead.Load() {
-				return // the wrapper's next scheduler call unwinds
-			}
-			g.r.maybeRequestBubble()
-			time.Sleep(sleep)
-			if sleep < time.Millisecond {
-				sleep *= 2
-			}
-		}
+	if g.bubbling && !g.waitInput(t, sq) {
+		return // killed or retired: the wrapper's next scheduler call unwinds
 	}
 	h, ok := sq.Head()
 	if !ok {
@@ -111,35 +125,103 @@ func (g *gate) CheckAdmit(t *dmt.Thread) {
 	}
 	switch h.Kind {
 	case seq.KindBubble:
+		if max := t.IdleChewLimit(); max > 0 {
+			t.ChewIdle(sq.ChewBubble(max))
+		}
 		sq.TickBubble()
 	case seq.KindConnect:
 		t.SignalKey(acceptKey{h.Port})
+		return
 	case seq.KindSend, seq.KindClose:
-		if g.r.connClosed(h.Conn) {
-			// The server already closed this connection; its remaining
-			// client calls can never be consumed by a recv. Discard so
-			// the head does not wedge the sequence.
-			sq.PopIfConn(h.Conn)
+		if !g.r.connClosed(h.Conn) {
+			t.SignalKey(recvKey{h.Conn})
 			return
 		}
-		t.SignalKey(recvKey{h.Conn})
+		// The server already closed this connection; its remaining
+		// client calls can never be consumed by a recv. Discard so the
+		// head does not wedge the sequence.
+		sq.PopIfConn(h.Conn)
+	}
+	// Exhausting a bubble or discarding an entry may have drained the
+	// sequence, and the caller's operation must not run on an empty one:
+	// whether the next entry has arrived yet is physical timing.
+	if g.bubbling {
+		g.waitInput(t, sq)
 	}
 }
 
-// Busy implements dmt.BusyGate: while entries are pending the idle thread
-// must keep rotating (it is the mechanism that exhausts bubble clocks
-// rapidly when every server thread is blocked, §3.1/§4).
-func (g *gate) Busy() bool { return !g.r.sq.Empty() }
+// waitInput blocks the token holder while its lane sequence is empty. It
+// wakes on the sequence's enqueue signal (a commit is admitted as soon as
+// it heads the sequence), on the lane timer when a bubble request falls
+// due (W_timeout after the sequence drained, then every bubbleRetry), and
+// on scheduler kill or gate retirement. Waiting only delays physical time,
+// never logical time, so it is determinism-neutral. It reports false when
+// the caller must unwind instead of admitting.
+func (g *gate) waitInput(t *dmt.Thread, sq *seq.Sequence) bool {
+	var start time.Time
+	for {
+		drained, empty := sq.DrainedAt()
+		if !empty {
+			break
+		}
+		if g.r.killed() || g.retired() {
+			return false
+		}
+		if start.IsZero() {
+			start = time.Now()
+		}
+		d := time.Until(drained.Add(g.r.cfg.Wtimeout))
+		if d <= 0 {
+			g.r.maybeRequestBubble()
+			d = bubbleRetry
+		}
+		tm := g.timer(t.LaneID(), d)
+		select {
+		case <-sq.Wake():
+		case <-tm.C:
+		case <-t.KillCh():
+		case <-g.dead:
+		}
+		if !tm.Stop() {
+			// Fired: drop a value nobody received, so the next Reset
+			// starts from an empty channel.
+			select {
+			case <-tm.C:
+			default:
+			}
+		}
+	}
+	if !start.IsZero() {
+		g.r.ro.emptyWait.Since(start)
+	}
+	return true
+}
 
-// BusyLane implements dmt.LaneBusyGate: lane L's idle thread rotates while
-// lane L's own sequence has pending entries. A pre-boot lane is never busy
-// (its sequence is withheld), so its idle thread sleeps instead of burning
-// a core on the bubble clones piling up for post-boot consumption.
+// timer arms lane's reusable empty-wait timer for d.
+func (g *gate) timer(lane int, d time.Duration) *time.Timer {
+	tm := g.timers[lane]
+	if tm == nil {
+		tm = time.NewTimer(d)
+		g.timers[lane] = tm
+		return tm
+	}
+	tm.Reset(d)
+	return tm
+}
+
+// BusyLane implements dmt.LaneBusyGate. With bubbling, a booted lane's
+// idle thread never sleeps: CheckAdmit blocks it on the empty sequence
+// until input commits, which is what admits a commit the moment it heads
+// the sequence. Without bubbling (plan II) the lane is busy while its
+// sequence has pending entries, which the idle thread exhausts rapidly
+// when every server thread is blocked (§3.1/§4). A pre-boot lane is never
+// busy (its sequence is withheld), so its idle thread sleeps instead of
+// burning a core on the bubble clones piling up for post-boot consumption.
 func (g *gate) BusyLane(lane int) bool {
 	if g.booted != nil && !g.booted[lane].Load() {
 		return false
 	}
-	return !g.r.laneSeq(lane).Empty()
+	return g.bubbling || !g.r.laneSeq(lane).Empty()
 }
 
 // StampLane implements dmt.LaneStampGate: lane L's cross-lane merge stamp

@@ -16,6 +16,7 @@ import (
 type gateHarness struct {
 	r    *Replica
 	proc *papi.ParrotProc
+	g    *gate
 }
 
 func newGateHarness(t *testing.T, bubbling bool) *gateHarness {
@@ -24,14 +25,15 @@ func newGateHarness(t *testing.T, bubbling bool) *gateHarness {
 	r := newReplica(0, &cfg, papi.Program{Name: "h", Ports: []int{1}}, simnet.New(simnet.Options{}))
 	proc := papi.NewParrotProc(r.net, r.host, r.fs)
 	proc.SetSocketLayer(&dmtSockets{r: r})
-	proc.Sched.SetGate(newGate(r, bubbling))
+	g := newGate(r, bubbling)
+	proc.Sched.SetGate(g)
 	r.pprocA.Store(proc)
 	t.Cleanup(func() {
 		r.killedFlag.Store(true)
 		proc.Kill()
 		proc.Wait()
 	})
-	return &gateHarness{r: r, proc: proc}
+	return &gateHarness{r: r, proc: proc, g: g}
 }
 
 func (h *gateHarness) inject(e *seq.Entry) { h.r.sq.Enqueue(e) }
@@ -216,15 +218,20 @@ func TestGateDiscardsClosedConnEntries(t *testing.T) {
 	}
 }
 
-// TestGateBusy reflects pending entries.
+// TestGateBusy: without bubbling the idle thread is kept rotating only
+// while entries are pending; with bubbling the gate paces the rotation
+// itself (CheckAdmit blocks on the empty sequence), so it is always busy.
 func TestGateBusy(t *testing.T) {
-	h := newGateHarness(t, true)
-	g := newGate(h.r, true)
-	if g.Busy() {
-		t.Fatal("Busy on empty sequence")
+	h := newGateHarness(t, false)
+	g := newGate(h.r, false)
+	if g.BusyLane(0) {
+		t.Fatal("BusyLane on empty sequence without bubbling")
 	}
 	h.inject(&seq.Entry{Index: 1, Kind: seq.KindBubble, NClock: 1})
-	if !g.Busy() {
-		t.Fatal("not Busy with pending entry")
+	if !g.BusyLane(0) {
+		t.Fatal("not BusyLane with pending entry")
+	}
+	if !newGate(h.r, true).BusyLane(0) {
+		t.Fatal("bubbling gate not BusyLane")
 	}
 }

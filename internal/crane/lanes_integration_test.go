@@ -18,10 +18,16 @@ import (
 // connections on different lanes is physically timed (each lane emits at
 // its own pace), but the stream on any one connection is produced by one
 // lane's deterministic schedule — so per-connection streams, not the whole
-// log order, are the cross-replica invariant.
-func perConnOutputs(l *trace.OutputLog) map[uint64]string {
+// log order, are the cross-replica invariant. The log keeps the bytes of
+// its newest outputs only, so the test fails if any have been dropped.
+func perConnOutputs(t *testing.T, l *trace.OutputLog) map[uint64]string {
+	t.Helper()
+	ev := l.Events()
+	if len(ev) != l.Len() {
+		t.Fatalf("%s retains %d of %d outputs; per-connection streams need all", l.Name(), len(ev), l.Len())
+	}
 	m := make(map[uint64]string)
-	for _, e := range l.Events() {
+	for _, e := range ev {
 		m[e.Conn] += string(e.Data)
 	}
 	return m
@@ -73,7 +79,11 @@ func TestCraneHTTPDLanes(t *testing.T) {
 		t.Skip("cluster workload in -short mode")
 	}
 	cfg := httpd.DefaultConfig()
-	cfg.Workers = 8
+	// 12 workers, 3 per lane: each lane serves the 3 concurrent connections
+	// routed to it, as DESIGN.md's liveness constraint requires (with 2 per
+	// lane, a third connection's SEND heading its lane wedges the lane
+	// whenever that connection's data is sequenced before the other two).
+	cfg.Workers = 12
 	cfg.PHPChunks = 3
 	cfg.PHPChunkWork = 30
 	cfg.CacheEnabled = false
@@ -166,12 +176,12 @@ func TestCraneHTTPDLanes(t *testing.T) {
 	}
 
 	// Per-connection output streams agree across replicas.
-	want := perConnOutputs(c.Replica(0).Outputs())
+	want := perConnOutputs(t, c.Replica(0).Outputs())
 	if len(want) == 0 {
 		t.Fatal("replica 0 recorded no outputs")
 	}
 	for i := 1; i < c.Replicas(); i++ {
-		got := perConnOutputs(c.Replica(i).Outputs())
+		got := perConnOutputs(t, c.Replica(i).Outputs())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("replica %d per-connection outputs diverge from replica 0", i)
 		}
@@ -227,7 +237,7 @@ func TestCraneMongooseLanes(t *testing.T) {
 				t.Fatalf("replica %d lane %d ScheduleSum %#x != replica 0 %#x", i, lane, got, want)
 			}
 		}
-		got, want := perConnOutputs(c.Replica(i).Outputs()), perConnOutputs(c.Replica(0).Outputs())
+		got, want := perConnOutputs(t, c.Replica(i).Outputs()), perConnOutputs(t, c.Replica(0).Outputs())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("replica %d per-connection outputs diverge from replica 0", i)
 		}

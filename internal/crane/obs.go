@@ -36,6 +36,7 @@ type replicaObs struct {
 	burstSize     *obs.Histogram // value: entries per proxy ProposeBatch burst
 	admitToCommit *obs.Histogram // admission -> consensus commit (primary)
 	admitToExec   *obs.Histogram // admission -> DMT consumption (primary)
+	emptyWait     *obs.Histogram // token holder blocked on an empty lane sequence
 }
 
 // newReplicaObs builds the registry and instruments for one replica. The
@@ -59,6 +60,8 @@ func newReplicaObs(r *Replica) *replicaObs {
 			"proxy admission to consensus commit"),
 		admitToExec: reg.Histogram("proxy_admit_to_exec_seconds",
 			"proxy admission to DMT-turn consumption by the server"),
+		emptyWait: reg.Histogram("seq_empty_wait_seconds",
+			"time the scheduler token holder waits on an empty lane sequence for a commit or bubble"),
 	}
 	reg.GaugeFunc("crane_open_conns", "alive server-side connections", func() float64 {
 		return float64(r.openConns.Load())

@@ -676,10 +676,12 @@ func (r *Replica) maybeRequestBubble() {
 	r.bubbleSince.Store(now)
 	// One bubble is cloned into every lane (afterMerge), so the
 	// replica-wide clock grant of a single bubble round is
-	// NClock x lanes x groups — and every granted clock costs one
-	// idle-thread token turn to consume. Dividing the per-bubble grant by
-	// lanes x groups keeps the grant (and the chew cost) per round
-	// constant as either axis scales; a starved lane simply requests
+	// NClock x lanes x groups — and every granted clock that an
+	// application thread shares the lane with costs one token turn to
+	// consume (an idle thread alone chews a bubble in one step). Dividing
+	// the per-bubble grant by lanes x groups keeps the grant (and the chew
+	// cost) per round constant as either axis scales; a starved lane
+	// simply requests
 	// bubbles more often. The divided value rides the committed entries,
 	// so replicas agree by construction. Single-lane single-group is the
 	// identity: pre-lane bubbles are unchanged.

@@ -77,8 +77,8 @@ type speculator struct {
 	// repairing is true while a rollback goroutine owns the execution
 	// state; feeds are refused and commits are swallowed into the log.
 	repairing bool
-	// curGate is the gate wired to the live scheduler; rollback marks it
-	// dead so threads spinning in its empty-sequence loop unwind.
+	// curGate is the gate wired to the live scheduler; rollback retires it
+	// so threads waiting in its empty-sequence wait unwind.
 	curGate *gate
 	// pendingCalls counts the non-bubble entries of the open window —
 	// "real work is executing ahead", the signal that makes speculative
@@ -543,10 +543,10 @@ func (sp *speculator) rollback() {
 	t0 := time.Now()
 	r := sp.r
 	old := r.proc()
-	// Mark the old gate dead first: threads spinning in its
-	// empty-sequence loop (the queues were just truncated) re-check it
-	// and unwind; only then can Wait return.
-	sp.curGate.dead.Store(true)
+	// Retire the old gate first: threads waiting in its empty-sequence
+	// wait (the queues were just truncated) wake and unwind; only then
+	// can Wait return.
+	sp.curGate.retire()
 	old.Kill()
 	old.Wait()
 	// Every pre-rollback thread has exited: the execution state is

@@ -163,6 +163,9 @@ type Scheduler struct {
 	// thread's parking is excluded (it parks by design whenever any
 	// application thread runs), and so is time spent in the pre-park spin.
 	turnWait *obs.Histogram
+	// chewed counts idle clocks fast-forwarded by ChewIdle (shared by every
+	// lane; nil when observability is off).
+	chewed *obs.Counter
 
 	// flight is this lane's divergence-forensics journal. Written only by
 	// the token holder under mu (same single-writer discipline as the
@@ -191,8 +194,10 @@ type Scheduler struct {
 	started bool
 
 	// IdleSleep is how long the idle thread sleeps per rotation when it is
-	// the only runnable thread and nothing needs exhausting. Keeps a quiet
-	// server from burning a core. Zero means 50µs.
+	// the only runnable thread and the gate neither has pending work nor
+	// paces the rotation itself (gateless plain Parrot, plan II, a
+	// withheld lane). Keeps a quiet server from burning a core. Zero means
+	// 50µs.
 	IdleSleep time.Duration
 }
 
@@ -231,6 +236,8 @@ func (s *Scheduler) SetObs(reg *obs.Registry) {
 	}
 	s.turnWait = reg.Histogram("dmt_turn_wait_seconds",
 		"time an application thread parks waiting for the scheduler token")
+	s.chewed = reg.Counter("dmt_idle_chew_clocks_total",
+		"idle-thread clocks fast-forwarded in one step while no other thread could observe them")
 	reg.GaugeFunc("dmt_clock", "logical clock (one tick per scheduled op)", func() float64 {
 		return float64(s.ClockFast())
 	})
@@ -260,6 +267,7 @@ func (s *Scheduler) SetObs(reg *obs.Registry) {
 		// registered above — that one stays for single-lane deployments).
 		for i, ln := range s.lanes {
 			ln := ln
+			ln.chewed = s.chewed
 			//crane:obsreg-ok one registration per lane, names are lane-unique
 			ln.turnWait = reg.Histogram(fmt.Sprintf("dmt_lane%d_turn_wait_seconds", i),
 				fmt.Sprintf("time a lane-%d thread parks waiting for its lane token", i))
@@ -754,6 +762,61 @@ func (t *Thread) GetTurn() {
 	}
 }
 
+// KillCh returns a channel closed when the thread's scheduler is killed, so
+// a gate blocking the token holder can unwind promptly.
+func (t *Thread) KillCh() <-chan struct{} { return t.s.killCh }
+
+// IdleChewLimit reports how many idle clocks t may fast-forward in one
+// step with ChewIdle: none unless t is the idle thread and the only thread
+// in its lane's run queue, with no reentry pending — then nothing can run
+// between the skipped ticks, and idle ticks already stay out of the
+// schedule hash, the flight journal and recordings, so skipping them is
+// unobservable. The limit stops one tick short of the earliest armed
+// soft-barrier deadline, so the next ordinary tick releases the barrier on
+// exactly the clock a tick-by-tick drain would. Caller holds the token
+// (the gate's CheckAdmit); while it does, the limit stays valid: only the
+// token holder changes the run queue and the barriers of a lane whose
+// first application thread has been admitted.
+func (t *Thread) IdleChewLimit() uint64 {
+	if !t.isIdle {
+		return 0
+	}
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rlen != 1 || s.reentryHead != nil || s.killedA.Load() {
+		return 0
+	}
+	max := ^uint64(0)
+	for _, sb := range s.barriers {
+		if sb.arrived == 0 {
+			continue
+		}
+		if sb.deadline <= s.clock+1 {
+			return 0
+		}
+		if d := sb.deadline - s.clock - 1; d < max {
+			max = d
+		}
+	}
+	return max
+}
+
+// ChewIdle advances the idle thread's lane clock by k ticks in one step,
+// for k clocks the gate consumed within the limit IdleChewLimit granted on
+// the same admission. Chewed clocks are not token passes.
+func (t *Thread) ChewIdle(k uint64) {
+	if !t.isIdle || k == 0 {
+		return
+	}
+	s := t.s
+	s.mu.Lock()
+	s.clock += k
+	s.clockA.Store(s.clock)
+	s.mu.Unlock()
+	s.chewed.Add(k)
+}
+
 // Admit invokes the CRANE gate, if any. Wrappers call it right after
 // GetTurn (Fig. 9 line 3).
 func (t *Thread) Admit() {
@@ -1086,13 +1149,15 @@ func (s *Scheduler) drainReentryLocked() {
 // idleLoop keeps the run queue non-empty and the clock ticking (§3.1).
 // With a CRANE gate installed, Admit is where the idle thread blocks on an
 // empty Paxos sequence, requests time bubbles, exhausts bubble clocks, and
-// admits socket calls — the paper's modified idle thread (§3.2).
+// admits socket calls — the paper's modified idle thread (§3.2). A gate
+// that reports the lane busy paces the rotation itself, so the loop never
+// sleeps then: a sleep here would park the token, and with it every
+// application thread, for a whole timer tick.
 func (s *Scheduler) idleLoop(t *Thread) {
 	sleep := s.IdleSleep
 	if sleep == 0 {
 		sleep = 50 * time.Microsecond
 	}
-	busySpins := 0
 	for {
 		t.GetTurn()
 		t.Admit()
@@ -1103,7 +1168,6 @@ func (s *Scheduler) idleLoop(t *Thread) {
 		busy := s.gate != nil && s.gateBusy()
 		t.PutTurn()
 		if alone && !busy {
-			busySpins = 0
 			// Nothing to exhaust and nobody runnable: back off so an
 			// idle server does not burn a core. Clock ticks here are
 			// unobservable (no runnable thread can interleave). Plain
@@ -1112,28 +1176,18 @@ func (s *Scheduler) idleLoop(t *Thread) {
 			// timer-heap and GC storm that starves everything else.
 			time.Sleep(sleep)
 		} else {
-			// Busy rotation (e.g. exhausting a time bubble): yield so
-			// runnable application threads and the consensus stack get
-			// CPU even on low-core machines, with a periodic real sleep
-			// so sustained exhaustion cannot starve timer goroutines.
-			busySpins++
-			if busySpins%64 == 0 {
-				time.Sleep(10 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
+			// Busy rotation: yield so runnable application threads and
+			// the consensus stack get CPU even on low-core machines.
+			runtime.Gosched()
 		}
 	}
 }
 
-// BusyGate is implemented by gates that can indicate pending work (e.g. a
-// time bubble being exhausted) so the idle thread spins instead of
-// sleeping.
-type BusyGate interface{ Busy() bool }
-
-// LaneBusyGate refines BusyGate for multi-lane schedulers: lane L's idle
-// thread asks about lane L's pending work only, so one lane exhausting a
-// bubble does not keep every other lane's idle thread spinning.
+// LaneBusyGate is implemented by gates that pace the idle thread: while
+// BusyLane(L) reports true, lane L's idle thread keeps rotating instead of
+// sleeping — because entries are pending (a time bubble being exhausted,
+// §3.1/§4) or because the gate's CheckAdmit itself blocks until input
+// arrives.
 type LaneBusyGate interface{ BusyLane(lane int) bool }
 
 // LaneStampGate must be implemented by any gate installed on a multi-lane
@@ -1145,11 +1199,6 @@ type LaneBusyGate interface{ BusyLane(lane int) bool }
 type LaneStampGate interface{ StampLane(lane int) uint64 }
 
 func (s *Scheduler) gateBusy() bool {
-	if b, ok := s.gate.(LaneBusyGate); ok {
-		return b.BusyLane(s.laneID)
-	}
-	if b, ok := s.gate.(BusyGate); ok {
-		return b.Busy()
-	}
-	return false
+	b, ok := s.gate.(LaneBusyGate)
+	return ok && b.BusyLane(s.laneID)
 }

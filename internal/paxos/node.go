@@ -16,10 +16,13 @@
 package paxos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crane/internal/obs"
@@ -183,6 +186,12 @@ type Node struct {
 
 	events chan event
 	done   chan struct{}
+	// loopDone is closed when the event loop returns; Stop waits on it so
+	// nothing the loop touches (the WAL store above all) is torn down
+	// under an in-flight commit. loopG is the loop goroutine's id: a Stop
+	// issued from a loop callback must not wait for itself.
+	loopDone chan struct{}
+	loopG    atomic.Uint64
 
 	// All fields below are owned by the event loop goroutine.
 	status     Status
@@ -238,6 +247,7 @@ type Node struct {
 	extCommit  uint64
 	extGCFloor uint64
 	viewCount  uint64
+	started    bool
 	stopped    bool
 }
 
@@ -268,6 +278,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		events:   make(chan event, 4096),
 		done:     make(chan struct{}),
+		loopDone: make(chan struct{}),
 		primary:  cfg.InitialPrimary,
 		acks:     make(map[uint64]map[int]bool),
 		peerDone: make(map[int]uint64),
@@ -337,19 +348,44 @@ func (n *Node) Start() {
 		case <-n.done:
 		}
 	})
+	n.mu.Lock()
+	n.started = true
+	n.mu.Unlock()
 	go n.loop()
 }
 
-// Stop terminates the event loop.
+// Stop terminates the event loop and waits for it to return, so the caller
+// may close what the loop uses (its WAL store) as soon as Stop returns.
+// Called from inside a loop callback, it returns without waiting; the loop
+// exits once the callback returns.
 func (n *Node) Stop() {
 	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
+	first := !n.stopped
 	n.stopped = true
+	started := n.started
 	n.mu.Unlock()
-	close(n.done)
+	if first {
+		close(n.done)
+	}
+	if started && goid() != n.loopG.Load() {
+		<-n.loopDone
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine 42 [running]: ..."). Only Stop and the loop's start use it.
+func goid() uint64 {
+	var buf [32]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	var id uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
 }
 
 // Propose submits a payload for consensus. Only the primary accepts
@@ -563,6 +599,8 @@ func (n *Node) publish() {
 }
 
 func (n *Node) loop() {
+	n.loopG.Store(goid())
+	defer close(n.loopDone)
 	tick := n.cfg.HeartbeatInterval / 4
 	if tick <= 0 {
 		tick = time.Millisecond

@@ -239,6 +239,11 @@ type Sequence struct {
 	// lastDrain is when the queue last transitioned to empty (or was
 	// created); the bubbling component compares it against Wtimeout.
 	lastDrain time.Time
+	// wake carries one pending wake-up for a consumer blocked on the empty
+	// queue: Enqueue sends without blocking, so a burst collapses into one
+	// signal and a wake-up posted between the consumer's emptiness check
+	// and its wait is never lost (see Wake).
+	wake chan struct{}
 	// stats
 	enqueued      uint64
 	bubbles       uint64
@@ -279,8 +284,15 @@ type Sequence struct {
 
 // New creates an empty sequence.
 func New() *Sequence {
-	return &Sequence{lastDrain: time.Now()} //crane:detflow-ok drain-interval stat, never marshaled onto the wire
+	return &Sequence{lastDrain: time.Now(), wake: make(chan struct{}, 1)} //crane:detflow-ok drain-interval stat, never marshaled onto the wire
 }
+
+// Wake returns the channel Enqueue and EnqueueSpec signal after appending.
+// It holds at most one pending signal, so a consumer that finds the queue
+// empty can block on it and still observe an entry appended after its
+// check. A signal may be stale (the entry already consumed): re-check
+// after every receive.
+func (s *Sequence) Wake() <-chan struct{} { return s.wake }
 
 // SetObs registers the sequence's instruments into reg: the queue-wait
 // histogram (enqueue to full consumption per client call) and gauges over
@@ -349,6 +361,10 @@ func (s *Sequence) Enqueue(e *Entry) {
 		s.bubbles++
 	} else {
 		s.clientCalls++
+	}
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -475,9 +491,17 @@ func (s *Sequence) Head() (Entry, bool) {
 // EmptyFor reports whether the sequence has been continuously empty for at
 // least d (the Wtimeout test that triggers a bubble request).
 func (s *Sequence) EmptyFor(d time.Duration) bool {
+	since, empty := s.DrainedAt()
+	return empty && time.Since(since) >= d
+}
+
+// DrainedAt reports whether the sequence is empty and, if so, since when:
+// the time EmptyFor measures from, which lets a blocked consumer time its
+// wake-up to the moment a bubble request falls due.
+func (s *Sequence) DrainedAt() (since time.Time, empty bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pendingLocked() == 0 && time.Since(s.lastDrain) >= d
+	return s.lastDrain, s.pendingLocked() == 0
 }
 
 // TickBubble consumes one logical clock from the head bubble, removing it
@@ -505,6 +529,36 @@ func (s *Sequence) TickBubble() bool {
 		}
 	}
 	return true
+}
+
+// ChewBubble consumes up to max logical clocks from the head bubble in one
+// step, always leaving at least one clock for TickBubble, which removes the
+// exhausted bubble and journals it exactly as a tick-by-tick drain would.
+// It returns the number of clocks consumed (0 when the head is not a bubble
+// with clocks to spare). The clocks count toward BubbleClocks, Progress
+// and, for a speculative bubble, SpecConsumed, one per clock — the same
+// totals max TickBubble calls would have produced.
+func (s *Sequence) ChewBubble(max uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pendingLocked() == 0 || s.headLocked().Kind != KindBubble {
+		return 0
+	}
+	e := s.headLocked()
+	if e.NClock <= 1 {
+		return 0
+	}
+	k := e.NClock - 1
+	if max < k {
+		k = max
+	}
+	e.NClock -= k
+	s.bubbleClocks += k
+	s.progressA.Add(k)
+	if e.Spec {
+		s.specConsumed += k
+	}
+	return k
 }
 
 // PopConnect consumes a head CONNECT entry, returning its connection id and

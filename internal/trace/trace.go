@@ -10,7 +10,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"regexp"
 	"sync"
@@ -23,11 +22,26 @@ type Event struct {
 	Data []byte
 }
 
+// recentOutputs is how many of the newest outputs keep their raw bytes.
+// Older outputs keep only their compact record, which is all Len,
+// Fingerprint and Diff need; the window bounds a long-running replica's
+// log memory to the records plus a few hundred responses.
+const recentOutputs = 256
+
+// record is what every output keeps for good: its connection and the
+// running fingerprint after it. Chained fingerprints localize a divergence
+// to the first output whose record differs, without the bytes.
+type record struct {
+	conn uint64
+	hash uint64
+}
+
 // OutputLog is a per-replica ordered log of network outputs.
 type OutputLog struct {
 	mu         sync.Mutex
 	name       string
-	events     []Event
+	recs       []record
+	recent     [recentOutputs][]byte // raw bytes of output i at recent[i%recentOutputs]
 	normalizer *regexp.Regexp
 	hash       uint64 // incremental FNV-1a over normalized outputs
 }
@@ -44,16 +58,16 @@ func NewOutputLog(name string) *OutputLog {
 }
 
 // SetNormalizer installs a regexp whose matches are masked before
-// comparison (the paper's "except physical times" carve-out). The cached
-// fingerprint is recomputed over the stored events under the new rule.
+// comparison (the paper's "except physical times" carve-out). It must be
+// called before the first Record: fingerprints of earlier outputs cannot
+// be recomputed once their bytes have left the recent window.
 func (l *OutputLog) SetNormalizer(re *regexp.Regexp) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.normalizer = re
-	l.hash = fnvOffset
-	for _, e := range l.events {
-		l.hash = hashEvent(l.hash, e.Conn, l.normalized(e.Data))
+	if len(l.recs) > 0 {
+		panic("trace: SetNormalizer after outputs were recorded")
 	}
+	l.normalizer = re
 }
 
 // hashEvent folds one event into the running FNV-1a hash, using the same
@@ -71,36 +85,67 @@ func hashEvent(h, conn uint64, data []byte) uint64 {
 // Record appends one outgoing socket call and folds it into the running
 // fingerprint, keeping Fingerprint O(1) instead of rehashing every event.
 // It returns the new output count and rolling fingerprint so callers can
-// feed divergence-audit samples without re-locking.
+// feed divergence-audit samples without re-locking. The bytes are copied
+// into the recent window, reusing the slot of the output they displace.
 func (l *OutputLog) Record(conn uint64, data []byte) (n int, fp uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, Event{
-		Seq:  len(l.events),
-		Conn: conn,
-		Data: append([]byte(nil), data...),
-	})
 	l.hash = hashEvent(l.hash, conn, l.normalized(data))
-	return len(l.events), l.hash
+	slot := &l.recent[len(l.recs)%recentOutputs]
+	*slot = append((*slot)[:0], data...)
+	l.recs = append(l.recs, record{conn: conn, hash: l.hash})
+	return len(l.recs), l.hash
 }
 
 // Len returns the number of recorded outputs.
 func (l *OutputLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return len(l.recs)
 }
 
 // Name returns the replica name.
 func (l *OutputLog) Name() string { return l.name }
 
-// Events returns a copy of all recorded events.
+// Events returns a copy of the newest outputs whose bytes are still
+// retained (at most recentOutputs of them), oldest first.
 func (l *OutputLog) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
+	first := l.firstRetained()
+	out := make([]Event, 0, len(l.recs)-first)
+	for i := first; i < len(l.recs); i++ {
+		out = append(out, Event{Seq: i, Conn: l.recs[i].conn,
+			Data: append([]byte(nil), l.recent[i%recentOutputs]...)})
+	}
 	return out
+}
+
+// firstRetained is the sequence number of the oldest output whose bytes
+// are still in the recent window. Caller holds l.mu.
+func (l *OutputLog) firstRetained() int {
+	if len(l.recs) > recentOutputs {
+		return len(l.recs) - recentOutputs
+	}
+	return 0
+}
+
+// retained returns a copy of output i's bytes, or nil once they have left
+// the recent window.
+func (l *OutputLog) retained(i int) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i < l.firstRetained() || i >= len(l.recs) {
+		return nil
+	}
+	return append([]byte(nil), l.recent[i%recentOutputs]...)
+}
+
+// records returns a copy of every output's compact record.
+func (l *OutputLog) records() []record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]record(nil), l.recs...)
 }
 
 func (l *OutputLog) normalized(data []byte) []byte {
@@ -126,28 +171,35 @@ type Divergence struct {
 	Reason string
 }
 
-// Diff compares two replica logs event by event (after normalization) and
-// returns nil if they are identical.
+// Diff compares two replica logs output by output (after normalization)
+// and returns nil if they are identical. Connections and chained
+// fingerprints locate the first divergent output however old it is; its
+// bytes are quoted when both logs still retain them.
 func Diff(a, b *OutputLog) *Divergence {
-	ae, be := a.Events(), b.Events()
-	n := len(ae)
-	if len(be) < n {
-		n = len(be)
+	ar, br := a.records(), b.records()
+	n := len(ar)
+	if len(br) < n {
+		n = len(br)
 	}
 	for i := 0; i < n; i++ {
-		x, y := ae[i], be[i]
-		if x.Conn != y.Conn {
+		x, y := ar[i], br[i]
+		if x.conn != y.conn {
 			return &Divergence{Seq: i, Reason: fmt.Sprintf(
-				"%s wrote to conn %d, %s to conn %d", a.name, x.Conn, b.name, y.Conn)}
+				"%s wrote to conn %d, %s to conn %d", a.name, x.conn, b.name, y.conn)}
 		}
-		if !bytes.Equal(a.normalized(x.Data), b.normalized(y.Data)) {
+		if x.hash != y.hash {
+			xd, yd := a.retained(i), b.retained(i)
+			if xd == nil || yd == nil {
+				return &Divergence{Seq: i, Reason: fmt.Sprintf(
+					"contents differ at output %d (bytes no longer retained)", i)}
+			}
 			return &Divergence{Seq: i, Reason: fmt.Sprintf(
-				"contents differ at output %d: %q vs %q", i, truncate(x.Data), truncate(y.Data))}
+				"contents differ at output %d: %q vs %q", i, truncate(xd), truncate(yd))}
 		}
 	}
-	if len(ae) != len(be) {
+	if len(ar) != len(br) {
 		return &Divergence{Seq: n, Reason: fmt.Sprintf(
-			"%s logged %d outputs, %s logged %d", a.name, len(ae), b.name, len(be))}
+			"%s logged %d outputs, %s logged %d", a.name, len(ar), b.name, len(br))}
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -93,12 +95,84 @@ func TestEventsCopy(t *testing.T) {
 	l.Record(5, []byte("abc"))
 	ev := l.Events()
 	ev[0].Data[0] = 'Z'
-	if l.Events()[0].Data[0] != 'Z' {
-		// Data slices may share backing; what matters is the event list
-		// itself is copied.
-		t.Skip("deep copy of data not required")
+	// Window slots are reused by later outputs, so Events must hand out
+	// its own bytes.
+	if got := l.Events()[0].Data[0]; got != 'a' {
+		t.Fatalf("Events shares bytes with the log: got %q", got)
 	}
 	if l.Len() != 1 || l.Name() != "r" {
 		t.Fatal("Len/Name broken")
 	}
+}
+
+// TestWindowBoundsRetainedBytes: only the newest recentOutputs outputs keep
+// their bytes, while Len and Fingerprint stay exact over every output.
+func TestWindowBoundsRetainedBytes(t *testing.T) {
+	a, b := NewOutputLog("r0"), NewOutputLog("r1")
+	total := recentOutputs + 100
+	for i := 0; i < total; i++ {
+		data := []byte(fmt.Sprintf("response %d", i))
+		a.Record(uint64(i%7), data)
+		b.Record(uint64(i%7), data)
+	}
+	if a.Len() != total {
+		t.Fatalf("Len = %d, want %d", a.Len(), total)
+	}
+	ev := a.Events()
+	if len(ev) != recentOutputs {
+		t.Fatalf("retained %d events, want %d", len(ev), recentOutputs)
+	}
+	if ev[0].Seq != 100 || string(ev[0].Data) != "response 100" || ev[0].Conn != 100%7 {
+		t.Fatalf("oldest retained = %+v", ev[0])
+	}
+	last := ev[len(ev)-1]
+	if last.Seq != total-1 || string(last.Data) != fmt.Sprintf("response %d", total-1) {
+		t.Fatalf("newest retained = %+v", last)
+	}
+	if a.Fingerprint() != b.Fingerprint() || Diff(a, b) != nil {
+		t.Fatal("identical long logs reported divergent")
+	}
+}
+
+// TestDiffLocalizesBeyondWindow: a divergence whose bytes have left the
+// window is still pinned to its output index by the chained records.
+func TestDiffLocalizesBeyondWindow(t *testing.T) {
+	a, b := NewOutputLog("r0"), NewOutputLog("r1")
+	for i := 0; i < 3*recentOutputs; i++ {
+		a.Record(1, []byte("same"))
+		if i == 10 {
+			b.Record(1, []byte("different"))
+		} else {
+			b.Record(1, []byte("same"))
+		}
+	}
+	d := Diff(a, b)
+	if d == nil || d.Seq != 10 {
+		t.Fatalf("Diff = %+v, want divergence at output 10", d)
+	}
+	if !strings.Contains(d.Reason, "no longer retained") {
+		t.Fatalf("reason = %q", d.Reason)
+	}
+	// A recent divergence quotes the bytes.
+	c, e := NewOutputLog("r2"), NewOutputLog("r3")
+	for i := 0; i < 3*recentOutputs; i++ {
+		c.Record(1, []byte("same"))
+		e.Record(1, []byte("same"))
+	}
+	c.Record(2, []byte("tail-A"))
+	e.Record(2, []byte("tail-B"))
+	if d := Diff(c, e); d == nil || d.Seq != 3*recentOutputs || !strings.Contains(d.Reason, "tail-A") {
+		t.Fatalf("Diff = %+v", d)
+	}
+}
+
+func TestSetNormalizerAfterRecordPanics(t *testing.T) {
+	l := NewOutputLog("r")
+	l.Record(1, []byte("x"))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetNormalizer after Record did not panic")
+		}
+	}()
+	l.SetNormalizer(regexp.MustCompile("x"))
 }
